@@ -174,7 +174,8 @@ impl Options {
                          --check-ring validates {path} and exits non-zero if it is malformed,\n\
                          the disruptor does not beat the event-pump baseline at 3 followers,\n\
                          the follower staging path copied payload bytes, the zero-copy consume\n\
-                         is below 1.5x the copy baseline, or a planted divergence went undetected.\n\
+                         is below 1.5x the copy baseline, a planted divergence went undetected,\n\
+                         or the CRC32C spill encode is below 0.25x the unchecksummed one.\n\
                          --fig-fleet runs the elastic-fleet churn scenario and writes {fleet};\n\
                          --check-fleet validates {fleet} (leader throughput during churn must\n\
                          stay above 50% of the no-churn baseline).\n\

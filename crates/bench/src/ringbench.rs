@@ -49,6 +49,10 @@ const PAYLOAD: usize = 4096;
 /// Payload size of the journal frames in the spill measurement (a typical
 /// syscall data payload: one read burst).
 const SPILL_PAYLOAD: usize = 256;
+/// Spill gate: checksummed frames per second must be at least this share
+/// of the unchecksummed rate, i.e. the CRC32C may cost at most 3x the
+/// frame encode it guards.
+const SPILL_CRC_MIN_RATIO: f64 = 0.25;
 
 /// Events-per-second results for the event-streaming data plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -485,10 +489,11 @@ impl RingBenchReport {
         );
         let _ = writeln!(
             out,
-            "  spill encode: {:.0} frames/s with CRC32C, {:.0} without ({:.1}% checksum cost)",
+            "  spill encode: {:.0} frames/s with CRC32C, {:.0} without (ratio {:.2}, \
+             gate >= {SPILL_CRC_MIN_RATIO})",
             self.spill_crc_append_per_sec,
             self.spill_nocrc_append_per_sec,
-            (1.0 - self.spill_crc_append_per_sec / self.spill_nocrc_append_per_sec) * 100.0,
+            self.spill_crc_append_per_sec / self.spill_nocrc_append_per_sec,
         );
         let _ = writeln!(
             out,
@@ -532,8 +537,10 @@ fn extract_number(json: &str, key: &str) -> Result<f64, String> {
 }
 
 /// Validates a `BENCH_ring.json` file: schema marker present, every metric a
-/// positive finite number, and the disruptor strictly faster than the
-/// event-pump baseline at 3 followers (both per-event and batched).
+/// positive finite number, the disruptor strictly faster than the
+/// event-pump baseline (per-event and batched), the checksummed spill
+/// encode at least 0.25x the unchecksummed one, and the zero-copy follower
+/// gates.
 ///
 /// # Errors
 ///
@@ -608,6 +615,17 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<(), String> {
         return Err(format!(
             "{}: steady-state follower staging copied {copy_path_bytes:.0} payload bytes \
              (zero-copy gate requires 0)",
+            path.display()
+        ));
+    }
+    // Spill gate: the per-frame CRC32C sits on the leader's syscall path,
+    // so it must stay a small multiple of the frame encode it guards.
+    let crc = extract_number(&json, "spill_crc_append_per_sec").expect("validated above");
+    let nocrc = extract_number(&json, "spill_nocrc_append_per_sec").expect("validated above");
+    if crc < nocrc * SPILL_CRC_MIN_RATIO {
+        return Err(format!(
+            "{}: spill encode with CRC32C ({crc:.0} frames/s) is below {SPILL_CRC_MIN_RATIO} x \
+             the unchecksummed rate ({nocrc:.0} frames/s)",
             path.display()
         ));
     }
@@ -706,6 +724,18 @@ mod tests {
         report.write_to(&path).unwrap();
         let err = validate_file(&path).unwrap_err();
         assert!(err.contains("1.5x"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_slow_spill_checksum() {
+        let mut report = sample();
+        report.spill_crc_append_per_sec = report.spill_nocrc_append_per_sec * 0.2;
+        let dir = std::env::temp_dir().join("varan-ringbench-test-slow-spill-crc");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_ring.json");
+        report.write_to(&path).unwrap();
+        let err = validate_file(&path).unwrap_err();
+        assert!(err.contains("unchecksummed"), "unexpected error: {err}");
     }
 
     #[test]

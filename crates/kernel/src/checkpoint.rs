@@ -40,6 +40,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use varan_ring::crc32c::crc32c;
+
 use crate::errno::Errno;
 use crate::fs::Node;
 use crate::kernel::Kernel;
@@ -55,49 +57,6 @@ pub const DELTA_MAGIC: &[u8; 8] = b"VRNCKDL1";
 
 /// Upper bound accepted for any single length field while decoding.
 const MAX_FIELD: u64 = 1 << 30;
-
-// ---------------------------------------------------------------------
-// CRC32C (Castagnoli), byte-at-a-time.
-//
-// Deliberately a small private copy of `varan_ring::crc32c`: the delta
-// chain's link checksums must not pull a data-plane dependency into the
-// kernel crate (varan-ring depends on nothing of the kernel, and the
-// kernel stays restorable without a ring).  The algorithm is pinned by
-// its standard check value in the tests below, so the two copies cannot
-// drift apart silently.
-// ---------------------------------------------------------------------
-
-const CRC_POLY: u32 = 0x82F6_3B78;
-
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ CRC_POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = make_crc_table();
-
-fn crc32c(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// Error produced when an encoded checkpoint cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1161,10 +1120,26 @@ mod tests {
     }
 
     #[test]
-    fn private_crc_copy_matches_the_published_check_value() {
-        // Pins this module's private CRC32C to the standard catalogue check
-        // value, so it can never silently diverge from varan_ring::crc32c.
+    fn delta_trailing_crc_is_pinned() {
+        // The link checksum is the standard CRC32C, and this hand-built
+        // delta's trailer is the value the original byte-at-a-time
+        // implementation wrote: a faster checksum must not change a byte
+        // of any stored delta.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        let delta = CheckpointDelta {
+            sequence: 9,
+            base_sequence: 4,
+            base_checksum: 0xE306_9283,
+            process: None,
+            files: None,
+            listeners: Some(vec![(6379, 3)]),
+            fd_translation: Some(vec![(3, 4)]),
+            shard_cut: Some(vec![1, 2, 3]),
+        };
+        let bytes = delta.encode();
+        assert_eq!(bytes.len(), 103);
+        assert_eq!(bytes[99..], 0xE5A9_2CFAu32.to_le_bytes());
+        assert_eq!(CheckpointDelta::decode(&bytes).unwrap(), delta);
     }
 
     #[test]

@@ -237,6 +237,12 @@ impl JournalRecord {
             .with_clock(self.clock)
     }
 
+    /// Size in bytes of this record's frame, CRC included: exactly what
+    /// [`JournalRecord::encode_into`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        FRAME_HEADER + self.payload.as_ref().map_or(0, Vec::len) + FRAME_CRC
+    }
+
     /// Appends this record's frame to `out` and returns the frame's CRC32C
     /// (computed over the header and payload bytes, stored after them).
     pub fn encode_into(&self, out: &mut Vec<u8>) -> u32 {
@@ -400,7 +406,8 @@ pub fn encode_segment(first_seq: u64, records: &[JournalRecord]) -> Vec<u8> {
 /// a journal's active segment, which the writer will keep appending to.
 #[must_use]
 pub fn encode_segment_unsealed(first_seq: u64, records: &[JournalRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + records.len() * (FRAME_HEADER + FRAME_CRC + 16));
+    let frames: usize = records.iter().map(JournalRecord::encoded_len).sum();
+    let mut out = Vec::with_capacity(16 + frames);
     out.extend_from_slice(SEGMENT_MAGIC);
     out.extend_from_slice(&first_seq.to_le_bytes());
     for record in records {
@@ -1071,7 +1078,7 @@ impl EventJournal {
     ///
     /// Returns [`JournalError::Io`] if the segment file cannot be written.
     pub fn append(&self, record: JournalRecord) -> Result<u64, JournalError> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + FRAME_CRC + 16);
+        let mut frame = Vec::with_capacity(record.encoded_len());
         let crc = record.encode_into(&mut frame);
         let record = Arc::new(record);
         let mut inner = self.inner.lock();
@@ -1435,6 +1442,50 @@ mod tests {
         let mut unchecked = Vec::new();
         original.encode_into_unchecked(&mut unchecked);
         assert_eq!(&checked[..checked.len() - FRAME_CRC], &unchecked[..]);
+    }
+
+    #[test]
+    fn encoded_len_is_the_exact_frame_size() {
+        for payload in [
+            None,
+            Some(Vec::new()),
+            Some(vec![7u8; 1]),
+            Some(vec![7u8; 600]),
+        ] {
+            let original = JournalRecord {
+                payload,
+                ..record(3)
+            };
+            let mut frame = Vec::new();
+            original.encode_into(&mut frame);
+            assert_eq!(frame.len(), original.encoded_len());
+        }
+    }
+
+    #[test]
+    fn frame_crc_is_pinned() {
+        // CRCs the original byte-at-a-time implementation wrote for these
+        // frames: a faster checksum must not change a byte on disk, so
+        // segments written before it still verify.
+        let original = JournalRecord {
+            kind: EventKind::Syscall,
+            sysno: 0,
+            tid: 1,
+            clock: 42,
+            result: 600,
+            args: [3, 0x7000, 600, 0, 0, 0],
+            payload: Some((0..600u32).map(|i| (i * 31 + 7) as u8).collect()),
+        };
+        let mut frame = Vec::new();
+        assert_eq!(original.encode_into(&mut frame), 0x0B38_6A7E);
+        assert_eq!(frame.len(), 683);
+        let bare = JournalRecord {
+            payload: None,
+            ..original
+        };
+        let mut frame = Vec::new();
+        assert_eq!(bare.encode_into(&mut frame), 0xA369_DFE9);
+        assert_eq!(frame.len(), 83);
     }
 
     #[test]
